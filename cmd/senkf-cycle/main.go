@@ -215,7 +215,7 @@ func main() {
 					}
 					p := tpl
 					p.Cfg, p.Dir, p.Net = cfg, dir, net
-					res, err := senkf.RunSEnKFResilient(p, pl, senkf.Resilience{})
+					res, err := senkf.RunSEnKFResilient(p, pl)
 					if err != nil {
 						return nil, err
 					}

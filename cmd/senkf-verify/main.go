@@ -122,8 +122,7 @@ func main() {
 		// The resilient runner on a healthy ensemble with no fault plan must
 		// land on the same corner of the triangle, bit for bit.
 		check("S-EnKF/R", func() ([][]float64, error) {
-			res, err := senkf.RunSEnKFResilient(problem,
-				senkf.Plan{Dec: dec, L: *layers, NCg: *ncg}, senkf.Resilience{})
+			res, err := senkf.RunSEnKFResilient(problem, senkf.Plan{Dec: dec, L: *layers, NCg: *ncg})
 			if err != nil {
 				return nil, err
 			}

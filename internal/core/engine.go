@@ -1,9 +1,10 @@
 // The real-substrate plan interpreter: one orchestration loop executing any
 // compiled plan (S-EnKF, P-EnKF or L-EnKF) on the goroutine message-passing
 // runtime against real member files. The algorithm-specific entry points —
-// RunSEnKF here, RunPEnKF/RunLEnKF in internal/baseline, the resilient and
-// multilevel variants — are thin strategy+policy wrappers that compile a
-// plan.Spec and hand the schedule to ExecutePlan. internal/schedule replays
+// RunSEnKF here, RunPEnKF/RunLEnKF in internal/baseline, the multilevel
+// variants — are thin spec wrappers that compile a plan.Spec and hand the
+// schedule to ExecutePlan; RunSEnKFResilient runs the same body under its
+// resilience policy (resilient.go). internal/schedule replays
 // the same compiled plans on the discrete-event substrate.
 
 package core
@@ -77,6 +78,9 @@ func addIOStats(tr *trace.Tracer, st ensio.IOStats) {
 		reg.Add("ensio.seeks", float64(st.Seeks))
 		reg.Add("ensio.bytes", float64(st.BytesRead))
 		reg.Add("ensio.reads", float64(st.Reads))
+		if st.Retries > 0 {
+			reg.Add("ensio.retries", float64(st.Retries))
+		}
 	}
 }
 
@@ -113,21 +117,31 @@ func ExecutePlan(p plan.Problem, c *plan.Compiled) ([][]float64, error) {
 // reads, tags, spans and bits — with the result wrapped in a one-element
 // level slice.
 func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) {
+	fields, _, err := execute(p, c, false)
+	return fields, err
+}
+
+// execute is the engine body behind ExecutePlanLevels and
+// RunSEnKFResilient. resilient selects the resilience policy (see
+// resilient.go): member-drop agreement and reader failover driven by
+// p.Faults. Without it the run opens, sends and analyses exactly the
+// compiled plan. The membership returned is world rank 0's.
+func execute(p plan.Problem, c *plan.Compiled, resilient bool) ([][][]float64, *membership, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.Spec.Dec.Mesh != p.Cfg.Mesh {
-		return nil, fmt.Errorf("core: decomposition mesh %v differs from config mesh %v", c.Spec.Dec.Mesh, p.Cfg.Mesh)
+		return nil, nil, fmt.Errorf("core: decomposition mesh %v differs from config mesh %v", c.Spec.Dec.Mesh, p.Cfg.Mesh)
 	}
 	if c.Spec.N != p.Cfg.N {
-		return nil, fmt.Errorf("core: plan compiled for %d members, config has %d", c.Spec.N, p.Cfg.N)
+		return nil, nil, fmt.Errorf("core: plan compiled for %d members, config has %d", c.Spec.N, p.Cfg.N)
 	}
 	if c.Spec.LevelCount() != p.Levels() {
-		return nil, fmt.Errorf("core: plan compiled for %d levels, problem has %d", c.Spec.LevelCount(), p.Levels())
+		return nil, nil, fmt.Errorf("core: plan compiled for %d levels, problem has %d", c.Spec.LevelCount(), p.Levels())
 	}
 	w, err := mpi.NewWorld(c.WorldSize())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w.SetTracer(p.Tr)
 	if p.Msgs != nil {
@@ -141,7 +155,10 @@ func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) 
 		p.Obs.BeginRun(c)
 	}
 	announceFaults(p)
-	var fields [][][]float64
+	var (
+		fields [][][]float64
+		m0     *membership
+	)
 	t0 := time.Now()
 	err = w.Run(func(comm *mpi.Comm) error {
 		// Each rank body runs under its proc-name pprof scope, so CPU
@@ -151,33 +168,35 @@ func ExecutePlanLevels(p plan.Problem, c *plan.Compiled) ([][][]float64, error) 
 			r := c.Compute[comm.Rank()]
 			sc := p.Prof.Scope(r.Name)
 			return sc.Do(func() error {
-				f, err := engineCompute(comm, p, c, r, t0, sc)
+				f, m, err := engineCompute(comm, p, c, r, t0, sc, resilient)
 				if err != nil {
 					return err
 				}
 				if comm.Rank() == 0 {
-					fields = f
+					fields, m0 = f, m
 				}
 				return nil
 			})
 		}
 		r := c.IO[comm.Rank()-c.NumCompute()]
 		sc := p.Prof.Scope(r.Name)
-		return sc.Do(func() error { return engineIO(comm, p, c, r, t0, sc) })
+		return sc.Do(func() error { return engineIO(comm, p, c, r, t0, sc, resilient) })
 	})
 	if p.Obs != nil {
 		err = p.Obs.EndRun(err)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return fields, nil
+	return fields, m0, nil
 }
 
 // engineIO is the body of one dedicated I/O rank: per stage, read the
 // stage's region from every member of the stage, then cut and send every
-// destination its block of every member.
-func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t0 time.Time, sc *runtimeobs.Scope) error {
+// destination its block of every member. Under the resilience policy the
+// rank sends only agreed survivors, and per stage serves the rows the
+// failover rule assigns it (or stops, once dead).
+func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t0 time.Time, sc *runtimeobs.Scope, resilient bool) error {
 	staged := c.Staged()
 	nx := p.Cfg.Mesh.NX
 	nl := c.Spec.LevelCount()
@@ -192,24 +211,39 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			f.Close()
 		}
 	}()
-	for _, k := range r.Members {
-		mf, err := ensio.OpenMember(ensio.MemberPath(p.Dir, k))
-		if err != nil {
+	m := fullMembership(p.Cfg)
+	if resilient {
+		var err error
+		if m, err = openResilient(comm, p, c, r, files); err != nil {
 			return err
 		}
-		if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, nl, k); err != nil {
-			mf.Close()
-			return err
+	} else {
+		for _, k := range r.Members {
+			mf, err := ensio.OpenMember(ensio.MemberPath(p.Dir, k))
+			if err != nil {
+				return err
+			}
+			if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, nl, k); err != nil {
+				mf.Close()
+				return err
+			}
+			files[k] = mf
 		}
-		files[k] = mf
 	}
 
-	for _, st := range r.Stages {
-		st := st
+	for i, st := range r.Stages {
 		tag := -1
 		if staged {
 			tag = st.Stage
 		}
+		serve := r.Stages[i : i+1]
+		if resilient {
+			var alive bool
+			if serve, alive = servedStages(p, c, r, st.Stage, t0); !alive {
+				return nil
+			}
+		}
+		members := m.keep(st.Members)
 
 		err := sc.Stage(tag, func() error {
 			// Read phase: the stage's contiguous region of each member — one
@@ -217,20 +251,14 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			// fetching every level of the stage rows at once on multilevel
 			// files (the level-interleaved layout's co-design).
 			readStart := time.Now()
-			bars := make([][][]float64, len(st.Members))
-			for mi, k := range st.Members {
-				if nl == 1 {
-					bar, err := files[k].ReadBar(st.Read.Box.Y0, st.Read.Box.Y1)
+			bars := make([][][]float64, len(serve)*len(members))
+			for si, sv := range serve {
+				for mi, k := range members {
+					lb, err := files[k].ReadBarLevels(sv.Read.Box.Y0, sv.Read.Box.Y1)
 					if err != nil {
 						return err
 					}
-					bars[mi] = [][]float64{bar}
-				} else {
-					lb, err := files[k].ReadBarLevels(st.Read.Box.Y0, st.Read.Box.Y1)
-					if err != nil {
-						return err
-					}
-					bars[mi] = lb
+					bars[si*len(members)+mi] = lb
 				}
 			}
 			stretch(p, r.Name, t0, readStart, slow)
@@ -239,14 +267,16 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 			// Comm phase: every destination gets its stage box of every
 			// member, one message per level.
 			commStart := time.Now()
-			for mi, k := range st.Members {
-				for _, dst := range st.Comm.Dsts {
-					box := c.Compute[dst].Stages[st.Stage].Box
-					meta := []int{k, box.X0, box.X1, box.Y0, box.Y1}
-					for lvl := 0; lvl < nl; lvl++ {
-						payload := cutPayload(bars[mi][lvl], st.Read.Box, box, nx)
-						if err := comm.Send(dst, c.Spec.Tag(st.Stage, k, lvl), meta, payload); err != nil {
-							return err
+			for si, sv := range serve {
+				for mi, k := range members {
+					for _, dst := range sv.Comm.Dsts {
+						box := c.Compute[dst].Stages[sv.Stage].Box
+						meta := []int{k, box.X0, box.X1, box.Y0, box.Y1}
+						for lvl := 0; lvl < nl; lvl++ {
+							payload := cutPayload(bars[si*len(members)+mi][lvl], sv.Read.Box, box, nx)
+							if err := comm.Send(dst, c.Spec.Tag(sv.Stage, k, lvl), meta, payload); err != nil {
+								return err
+							}
 						}
 					}
 				}
@@ -266,81 +296,83 @@ func engineIO(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.IORank, t
 // by message are assembled by a helper goroutine (§4.2) that signals the
 // main flow stage by stage; self-read stages block-read the member files
 // directly. The main flow analyses each stage's region and accumulates the
-// sub-domain result, gathered at world rank 0.
-func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, t0 time.Time, sc *runtimeobs.Scope) ([][][]float64, error) {
+// sub-domain result, gathered at world rank 0. Under the resilience policy
+// the rank first joins the membership agreement, then receives and
+// analyses the survivors only, with the effective configuration.
+func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.ComputeRank, t0 time.Time, sc *runtimeobs.Scope, resilient bool) ([][][]float64, *membership, error) {
 	staged := c.Staged()
-	n := c.Spec.N
 	nl := c.Spec.LevelCount()
 	slow := p.Faults.SlowdownFor(r.Name)
+	m := fullMembership(p.Cfg)
+	if resilient {
+		var err error
+		if m, err = agreeMembership(comm, p.Cfg, make([]float64, p.Cfg.N)); err != nil {
+			return nil, nil, err
+		}
+		if comm.Rank() == 0 {
+			announceDrops(p, r.Name, t0, m.dropped)
+		}
+	}
+	n := m.cfg.N
 
 	type stageData struct {
 		blks []*enkf.Block // one per level
 		err  error
 	}
-	var assembled chan stageData
-	recvStages := 0
-	for _, st := range r.Stages {
-		if st.Expect > 0 {
-			recvStages++
-		}
-	}
-	if recvStages > 0 {
-		assembled = make(chan stageData, recvStages)
-		// Helper thread: receive the Expect per-member blocks of each
-		// message stage (one per level), assemble them, and hand the stage
-		// over. The goroutine inherits the rank's pprof labels at spawn;
-		// each stage's receive/assemble work is additionally stage-tagged.
-		go func() {
-			for _, st := range r.Stages {
-				st := st
-				if st.Expect == 0 {
-					continue
-				}
-				var blks []*enkf.Block
-				err := sc.Stage(st.Stage, func() error {
-					blks = make([]*enkf.Block, nl)
-					for lvl := range blks {
-						blks[lvl] = enkf.NewBlock(st.Box, n)
-					}
-					for k := 0; k < st.Expect; k++ {
-						for lvl := 0; lvl < nl; lvl++ {
-							m, err := comm.Recv(mpi.AnySource, c.Spec.Tag(st.Stage, k, lvl))
-							if err != nil {
-								return err
-							}
-							box := grid.Box{X0: m.Meta[1], X1: m.Meta[2], Y0: m.Meta[3], Y1: m.Meta[4]}
-							if box != st.Box {
-								return fmt.Errorf("core: stage %d member %d box %v, want %v", st.Stage, k, box, st.Box)
-							}
-							if len(m.Data) != st.Box.Points() {
-								return fmt.Errorf("core: stage %d member %d payload %d, want %d", st.Stage, k, len(m.Data), st.Box.Points())
-							}
-							blks[lvl].Data[m.Meta[0]] = m.Data
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					assembled <- stageData{err: err}
-					return
-				}
-				if staged && p.Tr.Enabled() {
-					// Helper-thread handoff: the stage is fully assembled
-					// and ready for the main thread from this instant on.
-					p.Tr.Instant(r.Name, trace.CatStage, "ready", time.Since(t0).Seconds(),
-						trace.Arg{Key: trace.ArgStage, Val: float64(st.Stage)})
-				}
-				assembled <- stageData{blks: blks}
+	// Helper thread: receive the per-member blocks of each message stage
+	// (one per level), assemble them, and hand the stage over. The
+	// goroutine inherits the rank's pprof labels at spawn; each stage's
+	// receive/assemble work is additionally stage-tagged. On a plan with
+	// no message stages it has nothing to do.
+	assembled := make(chan stageData, len(r.Stages))
+	go func() {
+		for _, st := range r.Stages {
+			if st.Expect == 0 {
+				continue
 			}
-		}()
-	}
+			var blks []*enkf.Block
+			err := sc.Stage(st.Stage, func() error {
+				blks = make([]*enkf.Block, nl)
+				for lvl := range blks {
+					blks[lvl] = enkf.NewBlock(st.Box, n)
+				}
+				for _, k := range m.members {
+					for lvl := 0; lvl < nl; lvl++ {
+						msg, err := comm.Recv(mpi.AnySource, c.Spec.Tag(st.Stage, k, lvl))
+						if err != nil {
+							return err
+						}
+						box := grid.Box{X0: msg.Meta[1], X1: msg.Meta[2], Y0: msg.Meta[3], Y1: msg.Meta[4]}
+						if box != st.Box {
+							return fmt.Errorf("core: stage %d member %d box %v, want %v", st.Stage, k, box, st.Box)
+						}
+						if len(msg.Data) != st.Box.Points() {
+							return fmt.Errorf("core: stage %d member %d payload %d, want %d", st.Stage, k, len(msg.Data), st.Box.Points())
+						}
+						blks[lvl].Data[m.pos[k]] = msg.Data
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				assembled <- stageData{err: err}
+				return
+			}
+			if staged && p.Tr.Enabled() {
+				// Helper-thread handoff: the stage is fully assembled
+				// and ready for the main thread from this instant on.
+				p.Tr.Instant(r.Name, trace.CatStage, "ready", time.Since(t0).Seconds(),
+					trace.Arg{Key: trace.ArgStage, Val: float64(st.Stage)})
+			}
+			assembled <- stageData{blks: blks}
+		}
+	}()
 
 	results := make([]*enkf.Block, nl)
 	for lvl := range results {
 		results[lvl] = enkf.NewBlock(r.Sub, n)
 	}
 	for _, st := range r.Stages {
-		st := st
 		tag := -1
 		if staged {
 			tag = st.Stage
@@ -374,24 +406,14 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 						mf.Close()
 						return err
 					}
-					if nl == 1 {
-						data, err := mf.ReadBlock(st.Read.Box)
-						addIOStats(p.Tr, mf.Stats())
-						mf.Close()
-						if err != nil {
-							return err
-						}
-						blks[0].Data[k] = data
-					} else {
-						data, err := mf.ReadBlockLevels(st.Read.Box)
-						addIOStats(p.Tr, mf.Stats())
-						mf.Close()
-						if err != nil {
-							return err
-						}
-						for lvl := 0; lvl < nl; lvl++ {
-							blks[lvl].Data[k] = data[lvl]
-						}
+					data, err := mf.ReadBlockLevels(st.Read.Box)
+					addIOStats(p.Tr, mf.Stats())
+					mf.Close()
+					if err != nil {
+						return err
+					}
+					for lvl := 0; lvl < nl; lvl++ {
+						blks[lvl].Data[m.pos[k]] = data[lvl]
 					}
 					stretch(p, r.Name, t0, readStart, slow)
 					observe(p, r.Name, metrics.PhaseRead, t0, readStart, time.Now(), -1)
@@ -402,7 +424,7 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			// the analysis work, not the stage topology.
 			compStart := time.Now()
 			for lvl := 0; lvl < nl; lvl++ {
-				out, err := p.Cfg.AnalyzeBox(blks[lvl], p.NetAt(lvl).InBox(st.Box), st.Analyze)
+				out, err := m.cfg.AnalyzeBox(blks[lvl], p.NetAt(lvl).InBox(st.Box), st.Analyze)
 				if err != nil {
 					return err
 				}
@@ -423,11 +445,12 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	return gatherResults(comm, p.Cfg, results, c.NumCompute())
+	fields, err := gatherResults(comm, m.cfg, results, c.NumCompute())
+	return fields, m, err
 }
 
 // gatherResults sends each compute rank's per-level analysis blocks to

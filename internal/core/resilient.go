@@ -1,7 +1,9 @@
-// Resilient S-EnKF: the same concurrent-group, multi-stage schedule as
-// RunSEnKF, hardened against the failures a parallel file system and a
-// large rank count actually produce — unreadable or corrupted member
-// files, transient storage errors, and I/O-rank deaths.
+// Resilient S-EnKF: the resilience policy of the one engine. The schedule
+// is the one ExecutePlanLevels runs; the policy hardens it against the
+// failures a parallel file system and a large rank count actually produce —
+// unreadable or corrupted member files, transient storage errors, and
+// I/O-rank deaths — all declared by the run's one fault plan,
+// Problem.Faults.
 //
 // The recovery model is fail-stop with perfect failure detection, realised
 // deterministically: every failure either surfaces as a classifiable open
@@ -11,7 +13,9 @@
 // continues on the N−k survivors with a variance-preserving inflation
 // reweighting; dead readers' bar rows are adopted by their cyclic successor
 // within the group (failover), so compute ranks still receive every stage
-// block. The outcome is a structured DegradedResult instead of a crash.
+// block. Messages keep the compiled plan's member tags: the survivor set
+// only shrinks which members are sent and received. The outcome is a
+// structured DegradedResult instead of a crash.
 package core
 
 import (
@@ -25,43 +29,14 @@ import (
 	"senkf/internal/enkf"
 	"senkf/internal/ensio"
 	"senkf/internal/faults"
-	"senkf/internal/grid"
-	"senkf/internal/metrics"
 	"senkf/internal/mpi"
 	"senkf/internal/plan"
 	"senkf/internal/trace"
 )
 
-// Resilience configures the hardened run.
-type Resilience struct {
-	// Faults is the injected fault plan (nil runs the hardened schedule on
-	// a healthy system; the recovery machinery then only verifies).
-	Faults *faults.Plan
-	// Retry bounds per-operation read retries. A zero value defaults to
-	// the fault plan's retry budget with no backoff.
-	Retry ensio.RetryPolicy
-	// NoVerify skips payload-checksum verification at open. Verification
-	// is on by default: it is what converts silent corruption into a
-	// clean member drop.
-	NoVerify bool
-	// MinMembers aborts the run when fewer members survive (values below
-	// 2 mean 2 — an ensemble needs at least two members).
-	MinMembers int
-}
-
-func (r Resilience) retry() ensio.RetryPolicy {
-	if r.Retry.Attempts >= 1 || r.Retry.Backoff > 0 {
-		return r.Retry
-	}
-	return ensio.RetryPolicy{Attempts: r.Faults.Budget()}
-}
-
-func (r Resilience) minMembers() int {
-	if r.MinMembers < 2 {
-		return 2
-	}
-	return r.MinMembers
-}
+// minMembers is the survivor floor of a resilient run: an ensemble needs
+// at least two members.
+const minMembers = 2
 
 // DroppedMember records one member excluded from the analysis and why.
 type DroppedMember struct {
@@ -98,30 +73,18 @@ type DegradedResult struct {
 	Degraded bool
 }
 
-// Member-drop reason codes exchanged through the agreement Allreduce.
+// Member-drop reason codes exchanged through the agreement Allreduce, and
+// the reason each names.
 const (
-	dropMissing   = 1
-	dropCorrupt   = 2
-	dropTruncated = 3
-	dropIO        = 4
-	dropGeometry  = 5
+	dropMissing = iota + 1
+	dropCorrupt
+	dropTruncated
+	dropIO
+	dropGeometry
 )
 
-func dropReason(code int) string {
-	switch code {
-	case dropMissing:
-		return "missing"
-	case dropCorrupt:
-		return "corrupt"
-	case dropTruncated:
-		return "truncated"
-	case dropIO:
-		return "io"
-	case dropGeometry:
-		return "geometry"
-	}
-	return fmt.Sprintf("code(%d)", code)
-}
+var dropReasons = [...]string{dropMissing: "missing", dropCorrupt: "corrupt",
+	dropTruncated: "truncated", dropIO: "io", dropGeometry: "geometry"}
 
 // classifyOpenError maps an ensio open failure to a drop-reason code.
 func classifyOpenError(err error) int {
@@ -138,21 +101,18 @@ func classifyOpenError(err error) int {
 	return dropIO
 }
 
-// RunSEnKFResilient executes the hardened S-EnKF schedule. Unreadable
-// members are dropped (not fatal) down to Resilience.MinMembers; plan-
-// declared reader deaths fail over to the group's surviving readers. The
-// DegradedResult is assembled at world rank 0.
-func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error) {
-	if err := p.Validate(); err != nil {
+// RunSEnKFResilient executes the S-EnKF schedule under the resilience
+// policy, reading the fault plan from p.Faults: unreadable members are
+// dropped (not fatal) down to two survivors, plan-declared reader deaths
+// fail over to the group's surviving readers, and transient read errors
+// are retried within the plan's budget. The DegradedResult is assembled
+// at world rank 0.
+func RunSEnKFResilient(p Problem, pl Plan) (*DegradedResult, error) {
+	c, err := pl.compile(p, 1)
+	if err != nil {
 		return nil, err
 	}
-	if pl.Dec.Mesh != p.Cfg.Mesh {
-		return nil, fmt.Errorf("core: decomposition mesh %v differs from config mesh %v", pl.Dec.Mesh, p.Cfg.Mesh)
-	}
-	if err := pl.Validate(p.Cfg.N); err != nil {
-		return nil, err
-	}
-	fp := r.Faults
+	fp := p.Faults
 	if err := fp.Validate(pl.NCg, pl.Dec.NSdy, pl.L, p.Cfg.N, 0); err != nil {
 		return nil, err
 	}
@@ -163,59 +123,170 @@ func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error
 			}
 		}
 	}
-	cp, err := plan.Compile(pl.Spec(p.Cfg.N))
+	fields, m, err := execute(p, c, true)
 	if err != nil {
 		return nil, err
 	}
-	w, err := mpi.NewWorld(cp.WorldSize())
-	if err != nil {
-		return nil, err
+	failovers := planFailovers(fp, pl.Dec.NSdy)
+	return &DegradedResult{
+		Fields:          fields[0],
+		Survivors:       m.members,
+		Dropped:         m.dropped,
+		Failovers:       failovers,
+		EffectiveConfig: m.cfg,
+		Degraded:        len(m.dropped) > 0 || len(failovers) > 0,
+	}, nil
+}
+
+// membership is the member set a run assimilates. Without the resilience
+// policy it is the whole ensemble; with it, every rank derives the same
+// survivors from the agreement before the stage loop.
+type membership struct {
+	cfg     enkf.Config // effective configuration: cfg.N == len(members)
+	members []int       // assimilated members, ascending
+	pos     []int       // pos[k]: member k's survivor index (-1 when dropped)
+	dropped []DroppedMember
+}
+
+// fullMembership is the whole ensemble under the unmodified configuration.
+func fullMembership(cfg enkf.Config) *membership {
+	m := &membership{cfg: cfg, members: make([]int, cfg.N), pos: make([]int, cfg.N)}
+	for k := range m.pos {
+		m.members[k], m.pos[k] = k, k
 	}
-	w.SetTracer(p.Tr)
-	if p.Msgs != nil {
-		p.Msgs.BeginMessages(cp)
-		w.SetMsgObserver(p.Msgs)
+	return m
+}
+
+// keep filters ks down to the assimilated members (ks itself when nothing
+// was dropped).
+func (m *membership) keep(ks []int) []int {
+	if len(m.dropped) == 0 {
+		return ks
 	}
-	var out *DegradedResult
-	t0 := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		if c.Rank() < cp.NumCompute() {
-			res, err := runComputeResilient(c, p, cp, r, t0)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				out = res
-			}
-			return nil
+	out := make([]int, 0, len(ks))
+	for _, k := range ks {
+		if m.pos[k] >= 0 {
+			out = append(out, k)
 		}
-		return runIOResilient(c, p, cp, r, t0)
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	return out
 }
 
 // agreeMembership is the world-wide failure-detection barrier: every rank
 // contributes a drop-reason vector (only the designated reporter of each
 // I/O group reports non-zero codes) and receives the identical sum, so all
 // ranks derive the same survivor set without further communication.
-func agreeMembership(c *mpi.Comm, n int, codes []float64) (survivors []int, posOf map[int]int, dropped []DroppedMember, err error) {
-	agreed, err := c.AllreduceSum(codes)
+func agreeMembership(comm *mpi.Comm, cfg enkf.Config, codes []float64) (*membership, error) {
+	agreed, err := comm.AllreduceSum(codes)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	posOf = map[int]int{}
-	for k := 0; k < n; k++ {
+	m := &membership{pos: make([]int, cfg.N)}
+	for k := range m.pos {
 		if code := int(agreed[k]); code != 0 {
-			dropped = append(dropped, DroppedMember{Member: k, Reason: dropReason(code)})
+			m.dropped = append(m.dropped, DroppedMember{Member: k, Reason: dropReasons[code]})
+			m.pos[k] = -1
 			continue
 		}
-		posOf[k] = len(survivors)
-		survivors = append(survivors, k)
+		m.pos[k] = len(m.members)
+		m.members = append(m.members, k)
 	}
-	return survivors, posOf, dropped, nil
+	if len(m.members) < minMembers {
+		return nil, fmt.Errorf("core: only %d of %d members readable (%d dropped) — need at least %d",
+			len(m.members), cfg.N, len(m.dropped), minMembers)
+	}
+	m.cfg = effectiveConfig(cfg, len(m.members))
+	return m, nil
+}
+
+// openResilient opens I/O rank r's member files under the policy — retried
+// within the plan's budget, through its read hook, checksum-verified — and
+// joins the membership agreement with the failures classified. A reader
+// dead before stage 0 opens nothing but still joins the agreement.
+func openResilient(comm *mpi.Comm, p Problem, c *plan.Compiled, r plan.IORank, files map[int]*ensio.MemberFile) (*membership, error) {
+	fp := p.Faults
+	opts := ensio.OpenOptions{Retry: ensio.RetryPolicy{Attempts: fp.Budget()}, Hook: fp.EnsioHook(), Verify: true}
+	deadFromStart := fp.DeadBeforeStage(r.Group, r.Row, 0)
+	myCodes := make([]float64, p.Cfg.N)
+	if !deadFromStart {
+		for _, k := range r.Members {
+			mf, err := ensio.OpenMemberOpts(ensio.MemberPath(p.Dir, k), opts)
+			if err != nil {
+				myCodes[k] = float64(classifyOpenError(err))
+				continue
+			}
+			if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, c.Spec.LevelCount(), k); err != nil {
+				myCodes[k] = dropGeometry
+				mf.Close()
+				continue
+			}
+			files[k] = mf
+		}
+	}
+	// Exactly one reader per group reports the group's codes — the first
+	// reader alive at stage 0 (every rank derives the same choice from the
+	// plan, so the sum is not multiplied by n_sdy).
+	reporter := 0
+	for fp.DeadBeforeStage(r.Group, reporter, 0) {
+		reporter++
+	}
+	if r.Row != reporter {
+		myCodes = make([]float64, p.Cfg.N)
+	}
+	m, err := agreeMembership(comm, p.Cfg, myCodes)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range m.keep(r.Members) {
+		if files[k] == nil && !deadFromStart {
+			return nil, fmt.Errorf("core: reader %s lost member %d agreed as a survivor", r.Name, k)
+		}
+	}
+	return m, nil
+}
+
+// servedStages applies the failover rule to I/O rank r at stage l. A
+// reader dead by then announces its death and reports !alive; a live one
+// gets the stage plans of the rows it serves — its own, then each dead row
+// it adopts from the group, read from the same member files and sent to
+// that row's destinations.
+func servedStages(p Problem, c *plan.Compiled, r plan.IORank, l int, t0 time.Time) (serve []plan.IOStage, alive bool) {
+	fp, tr := p.Faults, p.Tr
+	if fp.DeadBeforeStage(r.Group, r.Row, l) {
+		if tr.Enabled() {
+			tr.Instant(r.Name, trace.CatFault, "rank-death", time.Since(t0).Seconds(),
+				trace.Arg{Key: trace.ArgStage, Val: float64(l)})
+		}
+		tr.Counters().Inc("faults.rank.deaths")
+		return nil, false
+	}
+	rows, adopted := faults.Serving(r.Row, c.Spec.Dec.NSdy,
+		func(j int) bool { return fp.DeadBeforeStage(r.Group, j, l) },
+		func(j int) bool { return l > 0 && fp.DeadBeforeStage(r.Group, j, l-1) })
+	for _, row := range adopted {
+		tr.Counters().Inc("faults.failovers")
+		if tr.Enabled() {
+			tr.Instant(r.Name, trace.CatFault, "failover", time.Since(t0).Seconds(),
+				trace.Arg{Key: "row", Val: float64(row)},
+				trace.Arg{Key: trace.ArgStage, Val: float64(l)})
+		}
+	}
+	serve = make([]plan.IOStage, len(rows))
+	for i, row := range rows {
+		serve[i] = c.IOAt(r.Group, row).Stages[l]
+	}
+	return serve, true
+}
+
+// announceDrops publishes the agreed member drops once, from world rank 0.
+func announceDrops(p Problem, proc string, t0 time.Time, dropped []DroppedMember) {
+	for _, d := range dropped {
+		p.Tr.Counters().Inc("faults.members.dropped")
+		if p.Tr.Enabled() {
+			p.Tr.Instant(proc, trace.CatFault, "member-dropped", time.Since(t0).Seconds(),
+				trace.Arg{Key: "member", Val: float64(d.Member)})
+		}
+	}
 }
 
 // effectiveConfig shrinks the ensemble to the survivors and scales the
@@ -252,267 +323,4 @@ func planFailovers(fp *faults.Plan, nsdy int) []Failover {
 		}
 	}
 	return out
-}
-
-// runIOResilient is the hardened body of I/O rank (group g, bar row j):
-// the compiled plan supplies the rank's identity, members and per-stage
-// read/send geometry; the failover policy decides which rows it serves.
-func runIOResilient(c *mpi.Comm, p Problem, cp *plan.Compiled, r Resilience, t0 time.Time) error {
-	me := cp.IO[c.Rank()-cp.NumCompute()]
-	g, j, name := me.Group, me.Row, me.Name
-	nsdy, nStages := cp.Spec.Dec.NSdy, cp.Spec.L
-	fp := r.Faults
-	tr := p.Tr
-
-	// A rank dead before stage 0 opens nothing; it still joins the
-	// membership agreement (failure detection is perfect and instant under
-	// the plan model) and then leaves.
-	deadFromStart := fp.DeadBeforeStage(g, j, 0)
-
-	opts := ensio.OpenOptions{Retry: r.retry(), Hook: fp.EnsioHook(), Verify: !r.NoVerify}
-	open := map[int]*ensio.MemberFile{} // member -> file
-	myCodes := map[int]int{}
-	if !deadFromStart {
-		for _, k := range me.Members {
-			mf, err := ensio.OpenMemberOpts(ensio.MemberPath(p.Dir, k), opts)
-			if err != nil {
-				myCodes[k] = classifyOpenError(err)
-				continue
-			}
-			if err := mf.CheckGeometry(p.Cfg.Mesh.NX, p.Cfg.Mesh.NY, 1, k); err != nil {
-				myCodes[k] = dropGeometry
-				mf.Close()
-				continue
-			}
-			open[k] = mf
-		}
-	}
-	defer func() {
-		reg := tr.Counters()
-		for _, f := range open {
-			if reg != nil {
-				st := f.Stats()
-				reg.Add("ensio.seeks", float64(st.Seeks))
-				reg.Add("ensio.bytes", float64(st.BytesRead))
-				reg.Add("ensio.reads", float64(st.Reads))
-				reg.Add("ensio.retries", float64(st.Retries))
-			}
-			f.Close()
-		}
-	}()
-
-	// Exactly one reader per group reports the group's codes — the first
-	// reader alive at stage 0 (every rank derives the same choice from the
-	// plan, so the sum is not multiplied by n_sdy).
-	reporter := 0
-	for jj := 0; jj < nsdy; jj++ {
-		if !fp.DeadBeforeStage(g, jj, 0) {
-			reporter = jj
-			break
-		}
-	}
-	codes := make([]float64, p.Cfg.N)
-	if j == reporter {
-		for k, code := range myCodes {
-			codes[k] = float64(code)
-		}
-	}
-	survivors, posOf, dropped, err := agreeMembership(c, p.Cfg.N, codes)
-	if err != nil {
-		return err
-	}
-	if len(survivors) < r.minMembers() {
-		return fmt.Errorf("core: only %d of %d members readable (%d dropped) — need at least %d", len(survivors), p.Cfg.N, len(dropped), r.minMembers())
-	}
-	effN := len(survivors)
-
-	// Group members in survivor order.
-	var members []int
-	for _, k := range me.Members {
-		if _, ok := posOf[k]; ok {
-			members = append(members, k)
-		}
-	}
-
-	for l := 0; l < nStages; l++ {
-		if fp.DeadBeforeStage(g, j, l) {
-			if tr.Enabled() {
-				tr.Instant(name, trace.CatFault, "rank-death", time.Since(t0).Seconds(),
-					trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-			}
-			tr.Counters().Inc("faults.rank.deaths")
-			return nil
-		}
-		// Rows this reader serves: its own, plus dead rows whose cyclic
-		// successor it is. Every live reader derives the identical
-		// assignment from the plan.
-		dead := func(jj int) bool { return fp.DeadBeforeStage(g, jj, l) }
-		serve := []int{j}
-		for jj := 0; jj < nsdy; jj++ {
-			if jj == j || !dead(jj) {
-				continue
-			}
-			if s, ok := faults.Successor(jj, nsdy, dead); ok && s == j {
-				serve = append(serve, jj)
-				if l == 0 || !fp.DeadBeforeStage(g, jj, l-1) {
-					// First stage this row is adopted.
-					tr.Counters().Inc("faults.failovers")
-					if tr.Enabled() {
-						tr.Instant(name, trace.CatFault, "failover", time.Since(t0).Seconds(),
-							trace.Arg{Key: "row", Val: float64(jj)},
-							trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-					}
-				}
-			}
-		}
-		for _, row := range serve {
-			rowPlan := cp.IOAt(g, row)
-			st := rowPlan.Stages[l]
-			for _, k := range members {
-				mf := open[k]
-				if mf == nil {
-					return fmt.Errorf("core: reader %s lost member %d agreed as a survivor", name, k)
-				}
-				readStart := time.Now()
-				bar, err := mf.ReadBar(st.Read.Box.Y0, st.Read.Box.Y1)
-				if err != nil {
-					return fmt.Errorf("core: reader %s, member %d, stage %d: %w", name, k, l, err)
-				}
-				observe(p, name, metrics.PhaseRead, t0, readStart, time.Now(), -1)
-
-				commStart := time.Now()
-				for _, dst := range st.Comm.Dsts {
-					box := cp.Compute[dst].Stages[l].Box
-					payload := cutPayload(bar, st.Read.Box, box, p.Cfg.Mesh.NX)
-					meta := []int{posOf[k], box.X0, box.X1, box.Y0, box.Y1}
-					if err := c.Send(dst, plan.Tag(l, effN, 1, posOf[k], 0), meta, payload); err != nil {
-						return err
-					}
-				}
-				observe(p, name, metrics.PhaseComm, t0, commStart, time.Now(), -1)
-			}
-		}
-	}
-	return nil
-}
-
-// runComputeResilient is the hardened body of compute rank (i, j): the
-// same helper-thread overlap as runCompute, over the survivor ensemble
-// with the effective (reweighted) configuration.
-func runComputeResilient(c *mpi.Comm, p Problem, cp *plan.Compiled, r Resilience, t0 time.Time) (*DegradedResult, error) {
-	me := cp.Compute[c.Rank()]
-	name := cp.Compute[c.Rank()].Name
-	nStages := cp.Spec.L
-
-	// Membership agreement: compute ranks contribute nothing but must
-	// participate so every rank holds the identical survivor set.
-	survivors, _, dropped, err := agreeMembership(c, p.Cfg.N, make([]float64, p.Cfg.N))
-	if err != nil {
-		return nil, err
-	}
-	if len(survivors) < r.minMembers() {
-		return nil, fmt.Errorf("core: only %d of %d members readable (%d dropped) — need at least %d", len(survivors), p.Cfg.N, len(dropped), r.minMembers())
-	}
-	effN := len(survivors)
-	effCfg := effectiveConfig(p.Cfg, effN)
-	if c.Rank() == 0 && len(dropped) > 0 {
-		tr := p.Tr
-		for _, d := range dropped {
-			tr.Counters().Inc("faults.members.dropped")
-			if tr.Enabled() {
-				tr.Instant(name, trace.CatFault, "member-dropped", time.Since(t0).Seconds(),
-					trace.Arg{Key: "member", Val: float64(d.Member)})
-			}
-		}
-	}
-
-	type stageData struct {
-		blk *enkf.Block
-		err error
-	}
-	stages := make(chan stageData, nStages)
-	go func() {
-		for l := 0; l < nStages; l++ {
-			exp := me.Stages[l].Box
-			blk := enkf.NewBlock(exp, effN)
-			for s := 0; s < effN; s++ {
-				m, err := c.Recv(mpi.AnySource, plan.Tag(l, effN, 1, s, 0))
-				if err != nil {
-					stages <- stageData{err: err}
-					return
-				}
-				box := grid.Box{X0: m.Meta[1], X1: m.Meta[2], Y0: m.Meta[3], Y1: m.Meta[4]}
-				if box != exp {
-					stages <- stageData{err: fmt.Errorf("core: stage %d survivor %d box %v, want %v", l, s, box, exp)}
-					return
-				}
-				if len(m.Data) != exp.Points() {
-					stages <- stageData{err: fmt.Errorf("core: stage %d survivor %d payload %d, want %d", l, s, len(m.Data), exp.Points())}
-					return
-				}
-				blk.Data[m.Meta[0]] = m.Data
-			}
-			if p.Tr.Enabled() {
-				p.Tr.Instant(name, trace.CatStage, "ready", time.Since(t0).Seconds(),
-					trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-			}
-			stages <- stageData{blk: blk}
-		}
-	}()
-
-	result := enkf.NewBlock(me.Sub, effN)
-	for l := 0; l < nStages; l++ {
-		waitStart := time.Now()
-		sd := <-stages
-		if sd.err != nil {
-			return nil, sd.err
-		}
-		observe(p, name, metrics.PhaseWait, t0, waitStart, time.Now(), -1)
-
-		layer := me.Stages[l].Analyze
-		compStart := time.Now()
-		out, err := effCfg.AnalyzeBox(sd.blk, p.Net.InBox(sd.blk.Box), layer)
-		if err != nil {
-			return nil, err
-		}
-		for s := 0; s < effN; s++ {
-			for y := layer.Y0; y < layer.Y1; y++ {
-				for x := layer.X0; x < layer.X1; x++ {
-					result.Set(s, x, y, out.At(s, x, y))
-				}
-			}
-		}
-		observe(p, name, metrics.PhaseCompute, t0, compStart, time.Now(), -1)
-	}
-
-	if c.Rank() != 0 {
-		meta := []int{result.Box.X0, result.Box.X1, result.Box.Y0, result.Box.Y1}
-		return nil, c.Send(0, resultTag, meta, flattenBlock(result))
-	}
-	blocks := []*enkf.Block{result}
-	for rk := 1; rk < cp.NumCompute(); rk++ {
-		m, err := c.Recv(mpi.AnySource, resultTag)
-		if err != nil {
-			return nil, err
-		}
-		box := grid.Box{X0: m.Meta[0], X1: m.Meta[1], Y0: m.Meta[2], Y1: m.Meta[3]}
-		blk, err := unflattenBlock(box, effN, m.Data)
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, blk)
-	}
-	fields, err := enkf.Assemble(p.Cfg.Mesh, effN, blocks)
-	if err != nil {
-		return nil, err
-	}
-	failovers := planFailovers(r.Faults, cp.Spec.Dec.NSdy)
-	return &DegradedResult{
-		Fields:          fields,
-		Survivors:       survivors,
-		Dropped:         dropped,
-		Failovers:       failovers,
-		EffectiveConfig: effCfg,
-		Degraded:        len(dropped) > 0 || len(failovers) > 0,
-	}, nil
 }

@@ -68,7 +68,7 @@ func TestResilientNilPlanBitMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSEnKFResilient(p, pl, Resilience{})
+	res, err := RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,8 @@ func TestResilientEndToEndDegraded(t *testing.T) {
 	if err := plan.Apply(p.Dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSEnKFResilient(p, pl, Resilience{Faults: plan})
+	p.Faults = plan
+	res, err := RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatalf("degraded run failed outright: %v", err)
 	}
@@ -150,7 +151,8 @@ func TestResilientReaderDeathFailsOver(t *testing.T) {
 	plan := &faults.Plan{Deaths: []faults.RankDeath{
 		{Group: 0, Reader: 1, BeforeStage: 1},
 	}}
-	res, err := RunSEnKFResilient(p, pl, Resilience{Faults: plan})
+	p.Faults = plan
+	res, err := RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatalf("reader death deadlocked or failed: %v", err)
 	}
@@ -189,7 +191,7 @@ func TestResilientMissingAndTruncated(t *testing.T) {
 	if err := os.Truncate(tp, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSEnKFResilient(p, pl, Resilience{})
+	res, err := RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatalf("run with missing+truncated members failed outright: %v", err)
 	}
@@ -210,21 +212,21 @@ func TestResilientMissingAndTruncated(t *testing.T) {
 }
 
 // TestResilientMinMembersFloor verifies the run aborts cleanly (no hang,
-// actionable error) when too few members survive.
+// actionable error) when fewer than two members survive.
 func TestResilientMinMembersFloor(t *testing.T) {
 	p, dec, _ := resilientSetup(t)
 	pl := Plan{Dec: dec, L: 3, NCg: 2}
-	for k := 0; k < 3; k++ {
+	for k := 1; k < p.Cfg.N; k++ {
 		if err := os.Remove(ensio.MemberPath(p.Dir, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := RunSEnKFResilient(p, pl, Resilience{MinMembers: p.Cfg.N - 2})
+	_, err := RunSEnKFResilient(p, pl)
 	if err == nil {
-		t.Fatal("run below MinMembers succeeded")
+		t.Fatal("run with a single surviving member succeeded")
 	}
-	if !strings.Contains(err.Error(), "need at least") {
-		t.Errorf("unhelpful MinMembers error: %v", err)
+	if !strings.Contains(err.Error(), "need at least 2") {
+		t.Errorf("unhelpful survivor-floor error: %v", err)
 	}
 }
 
@@ -236,13 +238,15 @@ func TestResilientRejectsSimOnlyPlans(t *testing.T) {
 	plan := &faults.Plan{Deaths: []faults.RankDeath{
 		{Group: 0, Reader: 0, At: 0.5},
 	}}
-	if _, err := RunSEnKFResilient(p, pl, Resilience{Faults: plan}); err == nil {
+	p.Faults = plan
+	if _, err := RunSEnKFResilient(p, pl); err == nil {
 		t.Error("time-based death plan accepted by real runner")
 	}
 	bad := &faults.Plan{Deaths: []faults.RankDeath{
 		{Group: 5, Reader: 0, BeforeStage: 0}, // group out of range
 	}}
-	if _, err := RunSEnKFResilient(p, pl, Resilience{Faults: bad}); err == nil {
+	p.Faults = bad
+	if _, err := RunSEnKFResilient(p, pl); err == nil {
 		t.Error("out-of-range death plan accepted")
 	}
 }
@@ -259,7 +263,8 @@ func TestResilientTransientRecovery(t *testing.T) {
 	plan := &faults.Plan{FileFaults: []faults.FileFault{
 		{Member: 2, Kind: faults.FileTransient, Count: 2}, // budget is 3
 	}}
-	res, err := RunSEnKFResilient(p, pl, Resilience{Faults: plan})
+	p.Faults = plan
+	res, err := RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +277,8 @@ func TestResilientTransientRecovery(t *testing.T) {
 	plan = &faults.Plan{FileFaults: []faults.FileFault{
 		{Member: 2, Kind: faults.FileTransient, Count: 10}, // exceeds budget
 	}}
-	res, err = RunSEnKFResilient(p, pl, Resilience{Faults: plan})
+	p.Faults = plan
+	res, err = RunSEnKFResilient(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

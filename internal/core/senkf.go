@@ -17,8 +17,10 @@
 //     analysis.
 //
 // The same engine executes the baseline plans (see internal/baseline for
-// the P-EnKF/L-EnKF entry points); RunSEnKF, RunSEnKFResilient and
-// RunSEnKFMultiLevel are strategy+policy wrappers over it. The result must
+// the P-EnKF/L-EnKF entry points); RunSEnKF and RunSEnKFMultiLevel are spec
+// wrappers over it. Resilience is a policy of that one engine, not a second
+// body: RunSEnKFResilient runs it with member-drop agreement and reader
+// failover driven by the run's fault plan, Problem.Faults. The result must
 // equal the serial reference (and both baselines) exactly; integration
 // tests assert the correctness triangle.
 package core
@@ -78,6 +80,16 @@ const resultTag = 1 << 20
 // RunSEnKF executes the full S-EnKF schedule and returns the analysis
 // ensemble (assembled at world rank 0).
 func RunSEnKF(p Problem, pl Plan) ([][]float64, error) {
+	c, err := pl.compile(p, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ExecutePlan(p, c)
+}
+
+// compile validates p against the layout and compiles its S-EnKF plan
+// over the given level count.
+func (pl Plan) compile(p Problem, levels int) (*plan.Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,11 +99,7 @@ func RunSEnKF(p Problem, pl Plan) ([][]float64, error) {
 	if err := pl.Validate(p.Cfg.N); err != nil {
 		return nil, err
 	}
-	c, err := plan.Compile(pl.Spec(p.Cfg.N))
-	if err != nil {
-		return nil, err
-	}
-	return ExecutePlan(p, c)
+	return plan.Compile(pl.Spec(p.Cfg.N).WithLevels(levels))
 }
 
 func flattenBlock(b *enkf.Block) []float64 {

@@ -114,6 +114,10 @@ func (m *MemberFile) ReadBarLevels(y0, y1 int) ([][]float64, error) {
 		return nil, fmt.Errorf("ensio: bar rows [%d,%d) out of range [0,%d)", y0, y1, m.Header.NY)
 	}
 	nl := m.Header.LevelCount()
+	if nl == 1 {
+		bar, err := m.ReadBar(y0, y1)
+		return [][]float64{bar}, err
+	}
 	points := (y1 - y0) * m.Header.NX
 	raw := make([]float64, points*nl)
 	if err := m.readContiguous(y0*m.Header.NX*nl, len(raw), raw); err != nil {
@@ -131,6 +135,10 @@ func (m *MemberFile) ReadBlockLevels(b grid.Box) ([][]float64, error) {
 		return nil, fmt.Errorf("ensio: block %v out of range for %dx%d", b, mesh.NX, mesh.NY)
 	}
 	nl := m.Header.LevelCount()
+	if nl == 1 {
+		data, err := m.ReadBlock(b)
+		return [][]float64{data}, err
+	}
 	if b.Width() == mesh.NX {
 		return m.ReadBarLevels(b.Y0, b.Y1)
 	}

@@ -268,6 +268,28 @@ func Successor(j, nsdy int, dead func(j int) bool) (int, bool) {
 	return 0, false
 }
 
+// Serving is the failover rule both substrates apply at every stage: the
+// bar rows live reader j serves are its own row followed by each dead row
+// whose Successor it is, ascending. adopted lists the served dead rows
+// that known does not report — rows taken over at this stage. Every live
+// reader of a group derives the same assignment from the same predicates,
+// so the group agrees on it without communication.
+func Serving(j, nsdy int, dead, known func(j int) bool) (rows, adopted []int) {
+	rows = []int{j}
+	for jj := 0; jj < nsdy; jj++ {
+		if jj == j || !dead(jj) {
+			continue
+		}
+		if s, ok := Successor(jj, nsdy, dead); ok && s == j {
+			rows = append(rows, jj)
+			if !known(jj) {
+				adopted = append(adopted, jj)
+			}
+		}
+	}
+	return rows, adopted
+}
+
 // Validate checks the plan against an S-EnKF geometry: ncg groups of nsdy
 // readers, L stages, n members, osts storage targets. It rejects plans
 // that kill every reader of a group (no failover target), reference

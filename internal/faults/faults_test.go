@@ -92,6 +92,49 @@ func TestSuccessor(t *testing.T) {
 	}
 }
 
+// TestServing pins the failover rule over group sizes and death
+// patterns: which rows each reader serves, and which it newly adopts.
+func TestServing(t *testing.T) {
+	cases := []struct {
+		name        string
+		nsdy, j     int
+		dead, known []int // dead rows now; rows already adopted earlier
+		rows        []int
+		adopted     []int
+	}{
+		{"healthy", 4, 0, nil, nil, []int{0}, nil},
+		{"single reader", 1, 0, nil, nil, []int{0}, nil},
+		{"partner dead", 2, 0, []int{1}, nil, []int{0, 1}, []int{1}},
+		{"already adopted", 2, 0, []int{1}, []int{1}, []int{0, 1}, nil},
+		{"not my row", 4, 0, []int{1}, nil, []int{0}, nil},
+		{"next live reader adopts", 4, 2, []int{1}, nil, []int{2, 1}, []int{1}},
+		{"chain of dead rows", 4, 3, []int{1, 2}, nil, []int{3, 1, 2}, []int{1, 2}},
+		{"chain, one known", 4, 3, []int{1, 2}, []int{1}, []int{3, 1, 2}, []int{2}},
+		{"wrap around", 4, 0, []int{3}, nil, []int{0, 3}, []int{3}},
+		{"wrap around past dead", 4, 1, []int{3, 0}, nil, []int{1, 0, 3}, []int{0, 3}},
+		{"uninvolved reader", 4, 0, []int{2}, nil, []int{0}, nil},
+	}
+	set := func(rows []int) func(int) bool {
+		return func(j int) bool {
+			for _, r := range rows {
+				if r == j {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, adopted := Serving(tc.j, tc.nsdy, set(tc.dead), set(tc.known))
+			if !reflect.DeepEqual(rows, tc.rows) || !reflect.DeepEqual(adopted, tc.adopted) {
+				t.Errorf("Serving(%d) = rows %v adopted %v, want rows %v adopted %v",
+					tc.j, rows, adopted, tc.rows, tc.adopted)
+			}
+		})
+	}
+}
+
 func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := []struct {
 		name string

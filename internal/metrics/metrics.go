@@ -76,6 +76,10 @@ func (r *Recorder) Record(proc string, ph Phase, start, end float64) {
 func (r *Recorder) Procs(prefix string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.procs(prefix)
+}
+
+func (r *Recorder) procs(prefix string) []string {
 	var out []string
 	for id := range r.byID {
 		if strings.HasPrefix(id, prefix) {
@@ -134,27 +138,31 @@ func (b Breakdown) Percent(p Phase) float64 {
 }
 
 // Breakdown sums the phase durations of every processor whose name starts
-// with prefix.
+// with prefix, in sorted processor order: floating-point addition is not
+// associative, so a fixed order keeps identical runs bit-identical.
 func (r *Recorder) Breakdown(prefix string) Breakdown {
+	b, _ := r.breakdown(prefix)
+	return b
+}
+
+// breakdown is Breakdown plus the number of processors summed.
+func (r *Recorder) breakdown(prefix string) (Breakdown, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	procs := r.procs(prefix)
 	var b Breakdown
-	for id, ivs := range r.byID {
-		if !strings.HasPrefix(id, prefix) {
-			continue
-		}
-		for _, iv := range ivs {
+	for _, id := range procs {
+		for _, iv := range r.byID[id] {
 			b.Add(iv.Phase, iv.End-iv.Start)
 		}
 	}
-	return b
+	return b, len(procs)
 }
 
 // MeanBreakdown divides the prefix breakdown by the number of matching
 // processors, yielding the per-processor averages Figure 9 plots.
 func (r *Recorder) MeanBreakdown(prefix string) Breakdown {
-	n := len(r.Procs(prefix))
-	b := r.Breakdown(prefix)
+	b, n := r.breakdown(prefix)
 	if n == 0 {
 		return Breakdown{}
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -40,6 +41,33 @@ func TestRecordAndBreakdown(t *testing.T) {
 	all := r.Breakdown("")
 	if all.Total() != 10 {
 		t.Errorf("total %g, want 10", all.Total())
+	}
+}
+
+// TestBreakdownIsOrderIndependent: the same intervals recorded in a
+// different order sum to bit-identical breakdowns, because processors are
+// summed in sorted order rather than map order.
+func TestBreakdownIsOrderIndependent(t *testing.T) {
+	const procs = 64
+	record := func(r *Recorder, i int) {
+		name := fmt.Sprintf("io/g%d/r%d", i/8, i%8)
+		start := float64(i) / 3
+		r.Record(name, PhaseRead, start, start+1/float64(i+7))
+		r.Record(name, PhaseComm, start, start+math.Pi/float64(i+3))
+	}
+	for trial := 0; trial < 8; trial++ {
+		fwd, rev := NewRecorder(), NewRecorder()
+		for i := 0; i < procs; i++ {
+			record(fwd, i)
+			record(rev, procs-1-i)
+		}
+		a, b := fwd.Breakdown("io"), rev.Breakdown("io")
+		if a != b {
+			t.Fatalf("trial %d: breakdowns differ: %+v vs %+v", trial, a, b)
+		}
+		if m, n := fwd.MeanBreakdown("io"), rev.MeanBreakdown("io"); m != n {
+			t.Fatalf("trial %d: mean breakdowns differ: %+v vs %+v", trial, m, n)
+		}
 	}
 }
 

@@ -63,8 +63,10 @@ type Problem struct {
 	// substrate: straggler ranks have each busy phase dilated to
 	// Factor × its real duration (the wall-clock mirror of the simulated
 	// machine's Sleep dilation), announced as fault trace events so a
-	// live monitor can correlate injections with watchdog verdicts. Nil
-	// is the exact pre-fault execution.
+	// live monitor can correlate injections with watchdog verdicts. Under
+	// the real engine's resilience policy (core.RunSEnKFResilient) the
+	// same plan also drives read retries, member drops and reader
+	// failover. Nil is the exact pre-fault execution.
 	Faults *faults.Plan
 	// Prof, when non-nil, propagates pprof labels: each rank goroutine
 	// runs under {run_id, algo, substrate, proc} and each plan stage

@@ -87,16 +87,6 @@ type Config struct {
 	Reads parfs.ReadObserver
 }
 
-// installWire attaches the wire observers to a simulated run. Nil-safe.
-func (c Config) installWire(cp *plan.Compiled, fs *parfs.FS) {
-	if c.Msgs != nil {
-		c.Msgs.BeginMessages(cp)
-	}
-	if c.Reads != nil {
-		fs.SetReadObserver(c.Reads)
-	}
-}
-
 // observe wraps an execution outcome through the configured RunObserver
 // (nil-safe): a monitor may decorate err with blamed plan edges and a
 // flight-recorder dump.
@@ -120,24 +110,56 @@ func (c Config) announceFaults(tr *trace.Tracer) {
 	}
 }
 
-// installFaults wires the plan into the simulation substrate (straggler
-// dilation + file-system windows). Nil-safe.
-func (c Config) installFaults(env *sim.Env, fs *parfs.FS) {
-	if c.Faults == nil {
-		return
+// substrate builds a fresh discrete-event environment and the parallel
+// file system on it, every process running under its pprof proc labels
+// when Prof is set.
+func (c Config) substrate() (*sim.Env, *parfs.FS, error) {
+	env := sim.NewEnv()
+	if c.Prof != nil {
+		env.SetSpawnWrapper(c.Prof.SpawnWrapper())
 	}
-	env.SetSlowdown(c.Faults.SlowdownFor)
-	fs.SetFaults(c.Faults)
+	fs, err := parfs.New(env, c.FS)
+	return env, fs, err
 }
 
-// installProf wires pprof label propagation into the simulation
-// substrate: every spawned process body runs under its proc labels.
-// Nil-safe.
-func (c Config) installProf(env *sim.Env) {
-	if c.Prof == nil {
-		return
+// start is the preamble every full simulated run shares, after the caller
+// has validated the config and its fault plan for the schedule: compile
+// spec over the nsdx × nsdy decomposition at the config's level count,
+// build the substrate with tracing, fault injection and wire telemetry
+// installed, and begin observation. When predict is non-nil the Eq. 7–10
+// model prediction for it is published ahead of the fault announcement.
+func (c Config) start(nsdx, nsdy int, spec func(grid.Decomposition) plan.Spec, predict *costmodel.Choice) (*plan.Compiled, *sim.Env, *parfs.FS, error) {
+	dec, err := decompose(c.P, nsdx, nsdy)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	env.SetSpawnWrapper(c.Prof.SpawnWrapper())
+	cp, err := plan.Compile(spec(dec).WithLevels(c.P.LevelCount()))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	env, fs, err := c.substrate()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	env.SetTracer(c.Tracer)
+	if c.Faults != nil {
+		env.SetSlowdown(c.Faults.SlowdownFor)
+		fs.SetFaults(c.Faults)
+	}
+	if c.Msgs != nil {
+		c.Msgs.BeginMessages(cp)
+	}
+	if c.Reads != nil {
+		fs.SetReadObserver(c.Reads)
+	}
+	if c.Obs != nil {
+		c.Obs.BeginRun(cp)
+	}
+	if predict != nil {
+		emitModelPrediction(c.Tracer, c.P, *predict)
+	}
+	c.announceFaults(c.Tracer)
+	return cp, env, fs, nil
 }
 
 // obs records one phase interval in both the recorder and — when tracing —
@@ -328,29 +350,11 @@ func SimulatePEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
 	if err := cfg.Faults.Validate(0, 0, 0, cfg.P.N, cfg.FS.OSTs); err != nil {
 		return Result{}, err
 	}
-	dec, err := decompose(cfg.P, nsdx, nsdy)
+	cp, env, fs, err := cfg.start(nsdx, nsdy, func(dec grid.Decomposition) plan.Spec { return plan.PEnKF(dec, cfg.P.N) }, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	cp, err := plan.Compile(plan.PEnKF(dec, cfg.P.N).WithLevels(cfg.P.LevelCount()))
-	if err != nil {
-		return Result{}, err
-	}
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	cfg.announceFaults(tr)
+	rec, tr := metrics.NewRecorder(), cfg.Tracer
 
 	lv := cp.Spec.LevelCount()
 	for q := range cp.Compute {
@@ -400,31 +404,13 @@ func SimulateLEnKF(cfg Config, nsdx, nsdy int) (Result, error) {
 	if err := cfg.Faults.Validate(0, 0, 0, cfg.P.N, cfg.FS.OSTs); err != nil {
 		return Result{}, err
 	}
-	dec, err := decompose(cfg.P, nsdx, nsdy)
-	if err != nil {
-		return Result{}, err
-	}
 	// L-EnKF stays single-level by design: compiling with the config's level
 	// count makes the spec validator reject a multilevel request loudly.
-	cp, err := plan.Compile(plan.LEnKF(dec, cfg.P.N).WithLevels(cfg.P.LevelCount()))
+	cp, env, fs, err := cfg.start(nsdx, nsdy, func(dec grid.Decomposition) plan.Spec { return plan.LEnKF(dec, cfg.P.N) }, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	cfg.announceFaults(tr)
+	rec, tr := metrics.NewRecorder(), cfg.Tracer
 
 	lv := cp.Spec.LevelCount()
 	boxes := make([]*sim.Mailbox, cp.NumCompute())
@@ -507,31 +493,12 @@ func SimulateSEnKF(cfg Config, ch costmodel.Choice) (Result, error) {
 	if err := pl.Validate(ncg, nsdy, ch.L, p.N, cfg.FS.OSTs); err != nil {
 		return Result{}, err
 	}
-	dec, err := decompose(p, ch.NSdx, nsdy)
+	cp, env, fs, err := cfg.start(ch.NSdx, nsdy, func(dec grid.Decomposition) plan.Spec { return plan.SEnKF(dec, p.N, ch.L, ncg) }, &ch)
 	if err != nil {
 		return Result{}, err
 	}
-	cp, err := plan.Compile(plan.SEnKF(dec, p.N, ch.L, ncg).WithLevels(p.LevelCount()))
-	if err != nil {
-		return Result{}, err
-	}
+	rec, tr := metrics.NewRecorder(), cfg.Tracer
 	lv := cp.Spec.LevelCount()
-	env := sim.NewEnv()
-	env.SetTracer(cfg.Tracer)
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.installFaults(env, fs)
-	cfg.installWire(cp, fs)
-	rec := metrics.NewRecorder()
-	tr := cfg.Tracer
-	if cfg.Obs != nil {
-		cfg.Obs.BeginRun(cp)
-	}
-	emitModelPrediction(tr, p, ch)
-	cfg.announceFaults(tr)
 
 	// One mailbox per compute processor, indexed by compute rank. The plan
 	// orders ranks row-major, so creation order is unchanged (j outer, i
@@ -601,25 +568,17 @@ func SimulateSEnKF(cfg Config, ch costmodel.Choice) (Result, error) {
 					return
 				}
 				// Rows this reader serves: its own, plus dead rows whose
-				// cyclic successor it is (the failover assignment every
-				// survivor derives identically from the plan).
-				serve := []int{j}
-				for jj := 0; jj < nsdy; jj++ {
-					if jj == j || !dead(jj) {
-						continue
-					}
-					if s, ok := faults.Successor(jj, nsdy, dead); ok && s == j {
-						serve = append(serve, jj)
-						if !adopted[[2]int{g, jj}] {
-							adopted[[2]int{g, jj}] = true
-							failovers++
-							tr.Counters().Inc("faults.failovers")
-							if tr.Enabled() {
-								tr.Instant(name, trace.CatFault, "failover", proc.Now(),
-									trace.Arg{Key: "row", Val: float64(jj)},
-									trace.Arg{Key: trace.ArgStage, Val: float64(l)})
-							}
-						}
+				// cyclic successor it is (the failover rule every survivor
+				// applies identically, on both substrates).
+				serve, newRows := faults.Serving(j, nsdy, dead, func(jj int) bool { return adopted[[2]int{g, jj}] })
+				for _, jj := range newRows {
+					adopted[[2]int{g, jj}] = true
+					failovers++
+					tr.Counters().Inc("faults.failovers")
+					if tr.Enabled() {
+						tr.Instant(name, trace.CatFault, "failover", proc.Now(),
+							trace.Arg{Key: "row", Val: float64(jj)},
+							trace.Arg{Key: trace.ArgStage, Val: float64(l)})
 					}
 				}
 				// Read this stage's small bar from each file of the
@@ -788,9 +747,7 @@ func ReadOnlyBlock(cfg Config, nsdx, nsdy, nFiles int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	env := sim.NewEnv()
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
+	env, fs, err := cfg.substrate()
 	if err != nil {
 		return 0, err
 	}
@@ -828,9 +785,7 @@ func ReadOnlyConcurrent(cfg Config, nsdy, ncg, nFiles int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	env := sim.NewEnv()
-	cfg.installProf(env)
-	fs, err := parfs.New(env, cfg.FS)
+	env, fs, err := cfg.substrate()
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"senkf/internal/costmodel"
@@ -262,7 +263,7 @@ func TestSimulationsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Runtime != b.Runtime || a.OverlapFraction != b.OverlapFraction {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("simulation not deterministic: %+v vs %+v", a, b)
 	}
 	p1, err := SimulatePEnKF(cfg, 8, 5)
@@ -273,7 +274,7 @@ func TestSimulationsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Runtime != p2.Runtime {
+	if !reflect.DeepEqual(p1, p2) {
 		t.Error("P-EnKF simulation not deterministic")
 	}
 }

@@ -118,4 +118,22 @@ if bad=$(grep -rn 'mlTag\|func observeML\|func runComputeML\|func runIOML' \
     exit 1
 fi
 
-echo "OK: plan, monitor, report and runlog layers are substrate-free; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths"
+# Resilience is a policy of the one real engine, not a second body: the
+# non-test code of internal/core creates exactly one mpi.World and runs
+# exactly one rank body on it (execute, behind ExecutePlanLevels and
+# RunSEnKFResilient). A second NewWorld or World.Run — or the retired
+# resilient rank bodies — means a bespoke engine copy has crept back in.
+core_src=$(find internal/core -name '*.go' ! -name '*_test.go')
+worlds=$(cat $core_src | grep -c 'mpi\.NewWorld(' || true)
+bodies=$(cat $core_src | grep -cE '\.Run\(func\([A-Za-z_]+ \*mpi\.Comm\)' || true)
+if [ "$worlds" -ne 1 ] || [ "$bodies" -ne 1 ]; then
+    echo "FAIL: internal/core must have one engine body (found $worlds mpi.NewWorld, $bodies World.Run bodies)" >&2
+    exit 1
+fi
+if bad=$(grep -nE 'func (runIOResilient|runComputeResilient)\b' $core_src); then
+    echo "FAIL: bespoke resilient engine body re-introduced in internal/core:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
+echo "OK: plan, monitor, report and runlog layers are substrate-free; runtimeobs sits below plan; ckpt builds on ensio only; core and schedule build on plan; no bespoke multilevel paths; core has one engine body"

@@ -385,7 +385,8 @@ func WriteAblations(w io.Writer, np int, abs []AblationResult) error {
 // seeded description of what goes wrong during a run — OST outage/degraded
 // windows, straggler processors, damaged member files, I/O-rank deaths. The
 // same plan drives both the simulated substrate (Machine.Faults) and real
-// executions (RunSEnKFResilient / FaultPlan.Apply).
+// executions (Problem.Faults, which RunSEnKFResilient's policy reads, and
+// FaultPlan.Apply for on-disk damage).
 type (
 	// FaultPlan is a deterministic fault-injection scenario.
 	FaultPlan = faults.Plan
@@ -400,8 +401,6 @@ type (
 	// CycleCrash kills the whole process at a cycle boundary of a cycled
 	// experiment — the fault the checkpoint/resume machinery survives.
 	CycleCrash = faults.CycleCrash
-	// Resilience configures the hardened real execution.
-	Resilience = core.Resilience
 	// DegradedResult is the structured outcome of a resilient run.
 	DegradedResult = core.DegradedResult
 	// DroppedMember records one member excluded from a degraded analysis.
@@ -419,13 +418,15 @@ func GenerateFaultPlan(seed uint64, intensity float64, g FaultGeometry) *FaultPl
 	return faults.Generate(seed, intensity, g)
 }
 
-// RunSEnKFResilient executes S-EnKF hardened against I/O failures:
-// unreadable or corrupted members are dropped (down to Resilience.MinMembers)
-// with a variance-preserving inflation reweighting, plan-declared reader
-// deaths fail over inside their concurrent group, and transient read errors
-// are retried with backoff. See DegradedResult for what comes back.
-func RunSEnKFResilient(p Problem, pl Plan, r Resilience) (*DegradedResult, error) {
-	return core.RunSEnKFResilient(p, pl, r)
+// RunSEnKFResilient executes S-EnKF under the engine's resilience policy,
+// which reads the run's one fault plan, p.Faults: unreadable or corrupted
+// members are dropped (down to two survivors) with a variance-preserving
+// inflation reweighting, plan-declared reader deaths fail over inside
+// their concurrent group, and transient read errors are retried within
+// the plan's retry budget. Member files are always checksum-verified. See
+// DegradedResult for what comes back.
+func RunSEnKFResilient(p Problem, pl Plan) (*DegradedResult, error) {
+	return core.RunSEnKFResilient(p, pl)
 }
 
 // InspectEnsemble validates an on-disk ensemble directory (n <= 0 scans
