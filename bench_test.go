@@ -269,6 +269,39 @@ func BenchmarkLocalAnalysisPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeBox times one stage-sized local analysis in real-dense's
+// kernel shape: a 32×16 target on a 64×32 mesh, N = 24, ξ = 4, η = 2,
+// observations every 3rd point, analysed from the target's expansion with
+// the expansion's observations as candidates.
+func BenchmarkAnalyzeBox(b *testing.B) {
+	mesh, _ := grid.NewMesh(64, 32)
+	truth := workload.Truth(mesh, workload.DefaultFieldSpec, 11)
+	members, err := workload.Ensemble(mesh, truth, 24, 1.5, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := obs.StridedNetwork(mesh, truth, 3, 3, 0.01, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := enkf.Config{Mesh: mesh, Radius: grid.Radius{Xi: 4, Eta: 2}, N: 24, Seed: 11}
+	target := grid.Box{X0: 16, X1: 48, Y0: 8, Y1: 24}
+	exp := target.Expand(mesh, cfg.Radius.Xi, cfg.Radius.Eta)
+	full := &enkf.Block{Box: grid.Box{X0: 0, X1: mesh.NX, Y0: 0, Y1: mesh.NY}, Data: members}
+	blk, err := full.SubBlock(exp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := net.InBox(exp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.AnalyzeBox(blk, cands, target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCholesky64(b *testing.B) {
 	s := linalg.NewStream(1)
 	a := linalg.NewMatrix(64, 66)

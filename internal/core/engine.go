@@ -428,11 +428,12 @@ func engineCompute(comm *mpi.Comm, p plan.Problem, c *plan.Compiled, r plan.Comp
 				if err != nil {
 					return err
 				}
+				res, w := results[lvl], st.Analyze.Width()
 				for k := 0; k < n; k++ {
 					for y := st.Analyze.Y0; y < st.Analyze.Y1; y++ {
-						for x := st.Analyze.X0; x < st.Analyze.X1; x++ {
-							results[lvl].Set(k, x, y, out.At(k, x, y))
-						}
+						dst := (y-res.Box.Y0)*res.Box.Width() + (st.Analyze.X0 - res.Box.X0)
+						src := (y - st.Analyze.Y0) * w
+						copy(res.Data[k][dst:dst+w], out.Data[k][src:src+w])
 					}
 				}
 			}

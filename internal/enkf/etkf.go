@@ -7,8 +7,8 @@ import (
 	"senkf/internal/linalg"
 )
 
-// solveETKF computes the deterministic ensemble transform analysis at the
-// centre point — the LETKF family of the paper's ref [25] (Ott et al.), a
+// solveETKF writes the deterministic ensemble transform analysis at the
+// point into the output row — the LETKF family of the paper's ref [25] (Ott et al.), a
 // widely used alternative to the perturbed-observation update:
 //
 //	Ã   = (N−1)·I + Vᵀ·R⁻¹·V            (ensemble-space analysis precision)
@@ -20,69 +20,65 @@ import (
 // perturbations are used, so the analysis is deterministic given the
 // background and the observations; the symmetric square root preserves the
 // zero-sum of deviations (1 is an eigenvector of Ã because V·1 = 0).
-func (c Config) solveETKF(p *localProblem, bg []float64) ([]float64, error) {
-	n := p.members
+func (a *boxAnalyzer) solveETKF() error {
+	n := a.c.N
 	denom := float64(n - 1)
-	u := p.xl.Clone()
-	linalg.CenterRows(u)
-	m := len(p.supports)
+	v := a.obsDeviations()
+	m := v.Rows
 
-	// V = H·U and the mean innovation d = y − H·x̄ᵇ, computed from the raw
-	// observed values: the ETKF uses no observation perturbations.
-	v := linalg.NewMatrix(m, n)
-	d := make([]float64, m)
-	for i, sup := range p.supports {
-		row := v.Row(i)
-		for _, s := range sup {
-			urow := u.Row(s.idx)
-			for k := 0; k < n; k++ {
-				row[k] += s.w * urow[k]
-			}
-		}
+	// rhs = Vᵀ R⁻¹ d with the mean innovation d = y − H·x̄ᵇ, computed from
+	// the raw observed values: the ETKF uses no observation perturbations.
+	rhs := resize(a.rhs, n)
+	a.rhs = rhs
+	clear(rhs)
+	for i := 0; i < m; i++ {
+		cd := &a.cands[a.obs[i].cand]
 		var hxbMean float64
 		for k := 0; k < n; k++ {
-			hxbMean += p.hRow(i, k)
+			hxbMean += cd.hx[k]
 		}
-		d[i] = p.values[i] - hxbMean/float64(n)
-	}
-
-	// Ã = (N−1)I + Vᵀ R⁻¹ V.
-	at := linalg.NewMatrix(n, n)
-	for k := 0; k < n; k++ {
-		at.Set(k, k, denom)
-	}
-	for i := 0; i < m; i++ {
-		inv := 1 / p.effVar[i]
-		row := v.Row(i)
-		for a := 0; a < n; a++ {
-			va := inv * row[a]
-			if va == 0 {
-				continue
-			}
-			arow := at.Row(a)
-			for b := a; b < n; b++ {
-				arow[b] += va * row[b]
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < a; b++ {
-			at.Set(a, b, at.At(b, a))
-		}
-	}
-
-	// rhs = Vᵀ R⁻¹ d; w̄ = Ã⁻¹ rhs (Cholesky — Ã is SPD by construction).
-	rhs := make([]float64, n)
-	for i := 0; i < m; i++ {
-		s := d[i] / p.effVar[i]
+		d := cd.o.Value - hxbMean/float64(n)
+		s := d / a.effVar[i]
 		row := v.Row(i)
 		for k := 0; k < n; k++ {
 			rhs[k] += s * row[k]
 		}
 	}
-	wbar, err := linalg.Solve(at, rhs)
+
+	// Ã = (N−1)I + Vᵀ R⁻¹ V.
+	at := reshape(&a.a, n, n)
+	clear(at.Data)
+	for k := 0; k < n; k++ {
+		at.Set(k, k, denom)
+	}
+	for i := 0; i < m; i++ {
+		inv := 1 / a.effVar[i]
+		row := v.Row(i)
+		for p := 0; p < n; p++ {
+			vp := inv * row[p]
+			if vp == 0 {
+				continue
+			}
+			prow := at.Row(p)
+			for q := p; q < n; q++ {
+				prow[q] += vp * row[q]
+			}
+		}
+	}
+	for p := 0; p < n; p++ {
+		for q := 0; q < p; q++ {
+			at.Set(p, q, at.At(q, p))
+		}
+	}
+
+	// w̄ = Ã⁻¹ rhs (Cholesky — Ã is SPD by construction).
+	l := reshape(&a.l, n, n)
+	if err := linalg.CholeskyTo(l, at); err != nil {
+		return fmt.Errorf("enkf: ETKF ensemble-space system: %w", err)
+	}
+	wbar, err := linalg.CholSolve(l, rhs)
 	if err != nil {
-		return nil, fmt.Errorf("enkf: ETKF ensemble-space system: %w", err)
+		return fmt.Errorf("enkf: ETKF ensemble-space system: %w", err)
 	}
 
 	// W = ((N−1)·Ã⁻¹)^{1/2} via the eigendecomposition of Ã.
@@ -93,24 +89,24 @@ func (c Config) solveETKF(p *localProblem, bg []float64) ([]float64, error) {
 		return math.Sqrt(denom / lambda), nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("enkf: ETKF transform: %w", err)
+		return fmt.Errorf("enkf: ETKF transform: %w", err)
 	}
 
-	// xᵃ_k = x̄ᵇ + u_c·w̄ + u_c·W_{·,k} at the centre point.
-	uc := u.Row(p.center)
+	// xᵃ_k = x̄ᵇ + u_c·w̄ + u_c·W_{·,k} with u_c the point's row of U.
+	uc := a.window(a.dev, a.x, a.x+1, a.y)
+	xb := a.window(a.xb, a.x, a.x+1, a.y)
 	var xbar float64
 	for k := 0; k < n; k++ {
-		xbar += p.xl.At(p.center, k)
+		xbar += xb[k]
 	}
 	xbar /= float64(n)
 	meanInc := linalg.Dot(uc, wbar)
-	out := make([]float64, n)
 	for k := 0; k < n; k++ {
 		var dev float64
 		for j := 0; j < n; j++ {
 			dev += uc[j] * w.At(j, k)
 		}
-		out[k] = xbar + meanInc + dev
+		a.out[k] = xbar + meanInc + dev
 	}
-	return out, nil
+	return nil
 }

@@ -69,6 +69,12 @@ func (b Box) Contains(x, y int) bool {
 	return x >= b.X0 && x < b.X1 && y >= b.Y0 && y < b.Y1
 }
 
+// Covers reports whether every point of o lies inside b. An empty o lies
+// inside every box.
+func (b Box) Covers(o Box) bool {
+	return o.Empty() || (o.X0 >= b.X0 && o.X1 <= b.X1 && o.Y0 >= b.Y0 && o.Y1 <= b.Y1)
+}
+
 // Intersect returns the intersection of two boxes (possibly empty).
 func (b Box) Intersect(o Box) Box {
 	r := Box{X0: max(b.X0, o.X0), X1: min(b.X1, o.X1), Y0: max(b.Y0, o.Y0), Y1: min(b.Y1, o.Y1)}

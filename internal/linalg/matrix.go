@@ -158,6 +158,13 @@ func Dot(a, b []float64) float64 {
 // AAT returns a·aᵀ (symmetric Gram matrix) without forming the transpose.
 func AAT(a *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, a.Rows)
+	AATTo(out, a)
+	return out
+}
+
+// AATTo writes a·aᵀ into out, which must be a.Rows × a.Rows and must not
+// alias a. Every element of out is written.
+func AATTo(out, a *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		ri := a.Row(i)
 		for j := i; j < a.Rows; j++ {
@@ -166,7 +173,6 @@ func AAT(a *Matrix) *Matrix {
 			out.Set(j, i, s)
 		}
 	}
-	return out
 }
 
 // ATA returns aᵀ·a.
@@ -239,8 +245,25 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := CholeskyTo(l, a); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// CholeskyTo writes the lower-triangular Cholesky factor of a into l, which
+// must have a's shape and must not alias a; the strict upper triangle of l
+// is zeroed. It computes exactly what Cholesky returns.
+func CholeskyTo(l, a *Matrix) error {
+	if a.Rows != a.Cols {
+		return fmt.Errorf("linalg: Cholesky needs a square matrix, got %dx%d", a.Rows, a.Cols)
+	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	if l.Rows != n || l.Cols != n {
+		return fmt.Errorf("linalg: Cholesky factor is %dx%d, want %dx%d", l.Rows, l.Cols, n, n)
+	}
+	clear(l.Data)
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		lj := l.Row(j)
@@ -248,7 +271,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			d -= lj[k] * lj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
+			return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
 		lj[j] = dj
@@ -261,7 +284,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			li[j] = s / dj
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveLower solves L·x = b for lower-triangular L (forward substitution).
@@ -322,20 +345,62 @@ func CholSolveMatrix(l, bm *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("linalg: CholSolveMatrix shape mismatch %dx%d vs %dx%d", l.Rows, l.Cols, bm.Rows, bm.Cols)
 	}
 	out := NewMatrix(bm.Rows, bm.Cols)
-	col := make([]float64, bm.Rows)
-	for j := 0; j < bm.Cols; j++ {
-		for i := 0; i < bm.Rows; i++ {
-			col[i] = bm.At(i, j)
-		}
-		x, err := CholSolve(l, col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < bm.Rows; i++ {
-			out.Set(i, j, x[i])
-		}
+	if err := CholSolveMatrixTo(out, l, bm); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// CholSolveMatrixTo solves a·X = B given the Cholesky factor L of a and
+// writes X into out, which must have bm's shape (out may be bm itself).
+// It runs the forward and back substitutions of SolveLower and
+// SolveUpperFromLower on every column at once, sweeping whole rows of out:
+// each element sees the same operations in the same order as in
+// CholSolveMatrix's column-by-column solve, so the results are identical.
+func CholSolveMatrixTo(out, l, bm *Matrix) error {
+	n, c := bm.Rows, bm.Cols
+	if l.Rows != n || l.Cols != n || out.Rows != n || out.Cols != c {
+		return fmt.Errorf("linalg: CholSolveMatrix shape mismatch %dx%d vs %dx%d into %dx%d", l.Rows, l.Cols, n, c, out.Rows, out.Cols)
+	}
+	copy(out.Data, bm.Data)
+	// L·Y = B: x_i = (b_i − Σ_{k<i} l_ik·x_k) / l_ii, k ascending.
+	for i := 0; i < n; i++ {
+		row := l.Row(i)
+		xi := out.Row(i)
+		for k := 0; k < i; k++ {
+			lik := row[k]
+			xk := out.Row(k)
+			for j := range xi {
+				xi[j] -= lik * xk[j]
+			}
+		}
+		if row[i] == 0 {
+			return fmt.Errorf("linalg: singular triangular system at row %d", i)
+		}
+		d := row[i]
+		for j := range xi {
+			xi[j] = xi[j] / d
+		}
+	}
+	// Lᵀ·X = Y: x_i = (y_i − Σ_{k>i} l_ki·x_k) / l_ii, k ascending.
+	for i := n - 1; i >= 0; i-- {
+		xi := out.Row(i)
+		for k := i + 1; k < n; k++ {
+			lki := l.At(k, i)
+			xk := out.Row(k)
+			for j := range xi {
+				xi[j] -= lki * xk[j]
+			}
+		}
+		d := l.At(i, i)
+		if d == 0 {
+			return fmt.Errorf("linalg: singular triangular system at row %d", i)
+		}
+		for j := range xi {
+			xi[j] = xi[j] / d
+		}
+	}
+	return nil
 }
 
 // SPDInverse inverts a symmetric positive definite matrix via Cholesky.

@@ -143,20 +143,26 @@ func SampleCovariance(u *Matrix) (*Matrix, error) {
 // CenterRows subtracts the mean of every row in place and returns the means.
 func CenterRows(u *Matrix) []float64 {
 	means := make([]float64, u.Rows)
-	inv := 1 / float64(u.Cols)
 	for i := 0; i < u.Rows; i++ {
 		row := u.Row(i)
-		var m float64
-		for _, v := range row {
-			m += v
-		}
-		m *= inv
-		for j := range row {
-			row[j] -= m
-		}
-		means[i] = m
+		means[i] = CenterTo(row, row)
 	}
 	return means
+}
+
+// CenterTo writes src minus its mean into dst (len(dst) == len(src); dst may
+// be src) and returns the mean. It is the row operation of CenterRows.
+func CenterTo(dst, src []float64) float64 {
+	inv := 1 / float64(len(src))
+	var m float64
+	for _, v := range src {
+		m += v
+	}
+	m *= inv
+	for j, v := range src {
+		dst[j] = v - m
+	}
+	return m
 }
 
 // GaspariCohn evaluates the Gaspari–Cohn fifth-order piecewise-rational

@@ -25,11 +25,19 @@ func NewStream(seed uint64) *Stream {
 // (member index, grid point, observation id, ...). The mixing ensures
 // distinct keys give uncorrelated streams.
 func KeyedStream(seed uint64, keys ...int) *Stream {
+	return NewStream(KeyedSeed(seed, keys...))
+}
+
+// KeyedSeed is the seed KeyedStream derives from seed and keys. Keys fold in
+// one at a time, so KeyedSeed(KeyedSeed(seed, a...), b...) equals
+// KeyedSeed(seed, a..., b...): callers drawing many streams that share a key
+// prefix fold the prefix once.
+func KeyedSeed(seed uint64, keys ...int) uint64 {
 	s := seed
 	for _, k := range keys {
 		s = mix64(s ^ (uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03))
 	}
-	return NewStream(s)
+	return s
 }
 
 func mix64(z uint64) uint64 {

@@ -18,48 +18,69 @@ type Support struct {
 	W    float64
 }
 
-// Support returns the observation's support points and weights. For an
-// observation at fractional position (X+OffsetX, Y+OffsetY) the weights are
-// the bilinear coefficients of the four surrounding grid points; corners
-// with zero weight are omitted, so an on-grid observation yields exactly
-// one point of weight 1.
-func (o Observation) Support() []Support {
+// Support returns the observation's support points and weights in
+// sup[:n]. For an observation at fractional position (X+OffsetX, Y+OffsetY)
+// the weights are the bilinear coefficients of the four surrounding grid
+// points; corners with zero weight are omitted, so an on-grid observation
+// yields exactly one point of weight 1. The fixed-size result keeps the
+// call free of heap allocation.
+func (o Observation) Support() (sup [4]Support, n int) {
 	fx, fy := o.OffsetX, o.OffsetY
-	type corner struct {
-		dx, dy int
-		w      float64
-	}
-	corners := []corner{
+	corners := [4]Support{
 		{0, 0, (1 - fx) * (1 - fy)},
 		{1, 0, fx * (1 - fy)},
 		{0, 1, (1 - fx) * fy},
 		{1, 1, fx * fy},
 	}
-	var out []Support
 	for _, c := range corners {
-		if c.w > 0 {
-			out = append(out, Support{X: o.X + c.dx, Y: o.Y + c.dy, W: c.w})
+		if c.W > 0 {
+			sup[n] = Support{X: o.X + c.X, Y: o.Y + c.Y, W: c.W}
+			n++
 		}
 	}
-	return out
+	return sup, n
+}
+
+// SupportBox returns the bounding box of the observation's support points,
+// or the empty Box{} when the support is empty.
+func (o Observation) SupportBox() grid.Box {
+	sup, n := o.Support()
+	if n == 0 {
+		return grid.Box{}
+	}
+	b := grid.Box{X0: sup[0].X, X1: sup[0].X + 1, Y0: sup[0].Y, Y1: sup[0].Y + 1}
+	for _, s := range sup[1:n] {
+		b.X0, b.X1 = min(b.X0, s.X), max(b.X1, s.X+1)
+		b.Y0, b.Y1 = min(b.Y0, s.Y), max(b.Y1, s.Y+1)
+	}
+	return b
 }
 
 // InterpolateField evaluates the observation operator on a full row-major
 // field: the bilinear interpolation at the observation's position.
 func (o Observation) InterpolateField(m grid.Mesh, field []float64) float64 {
 	var v float64
-	for _, s := range o.Support() {
+	sup, n := o.Support()
+	for _, s := range sup[:n] {
 		v += s.W * field[m.Index(s.X, s.Y)]
 	}
 	return v
 }
 
-// perturbKeys derives the integer key tuple identifying this observation's
-// random streams. Fractional offsets are quantized to 2^-20 grid cells so
-// distinct off-grid observations in the same cell get independent streams.
-func (o Observation) perturbKeys(member int) []int {
+// perturbSeed folds the key prefix identifying this observation's random
+// streams, (0x5EED, X, Y, quantized offsets), into seed; member k's stream
+// is keyed one step further by k (see draw). Fractional offsets are
+// quantized to 2^-20 grid cells so distinct off-grid observations in the
+// same cell get independent streams.
+func (o Observation) perturbSeed(seed uint64) uint64 {
 	const q = 1 << 20
-	return []int{0x5EED, o.X, o.Y, int(math.Round(o.OffsetX * q)), int(math.Round(o.OffsetY * q)), member}
+	return linalg.KeyedSeed(seed, 0x5EED, o.X, o.Y, int(math.Round(o.OffsetX*q)), int(math.Round(o.OffsetY*q)))
+}
+
+// draw returns the first standard normal of the stream keyed by member
+// under an observation's perturbSeed.
+func draw(base uint64, member int) float64 {
+	return linalg.NewStream(linalg.KeyedSeed(base, member)).Norm()
 }
 
 // RandomOffGridNetwork places count observations at random fractional
@@ -88,8 +109,7 @@ func RandomOffGridNetwork(m grid.Mesh, truth []float64, count int, variance floa
 			OffsetY: s.Float64(),
 		}
 		o.Variance = variance
-		ns := linalg.KeyedStream(seed, o.perturbKeys(-1)...)
-		o.Value = o.InterpolateField(m, truth) + ns.Norm()*sqrt(variance)
+		o.Value = o.InterpolateField(m, truth) + draw(o.perturbSeed(seed), -1)*sqrt(variance)
 		obsList = append(obsList, o)
 	}
 	return NewNetwork(m, obsList)

@@ -10,9 +10,9 @@ import (
 
 func TestSupportSelectionIsSinglePoint(t *testing.T) {
 	o := Observation{X: 3, Y: 5, Variance: 1}
-	sup := o.Support()
-	if len(sup) != 1 || sup[0] != (Support{X: 3, Y: 5, W: 1}) {
-		t.Errorf("on-grid support = %+v", sup)
+	sup, n := o.Support()
+	if n != 1 || sup[0] != (Support{X: 3, Y: 5, W: 1}) {
+		t.Errorf("on-grid support = %+v", sup[:n])
 	}
 }
 
@@ -25,7 +25,8 @@ func TestSupportWeightsSumToOne(t *testing.T) {
 			Variance: 1,
 		}
 		var sum float64
-		for _, s := range o.Support() {
+		sup, n := o.Support()
+		for _, s := range sup[:n] {
 			if s.W <= 0 {
 				return false
 			}

@@ -66,7 +66,8 @@ func NewNetwork(m grid.Mesh, obs []Observation) (*Network, error) {
 		if o.OffsetX < 0 || o.OffsetX >= 1 || o.OffsetY < 0 || o.OffsetY >= 1 {
 			return nil, fmt.Errorf("obs: observation %d has offsets (%g,%g) outside [0,1)", i, o.OffsetX, o.OffsetY)
 		}
-		for _, s := range o.Support() {
+		sup, ns := o.Support()
+		for _, s := range sup[:ns] {
 			if !m.Contains(s.X, s.Y) {
 				return nil, fmt.Errorf("obs: observation %d support point (%d,%d) outside %dx%d mesh", i, s.X, s.Y, m.NX, m.NY)
 			}
@@ -146,14 +147,10 @@ func (n *Network) InBox(b grid.Box) []Observation {
 	return out
 }
 
-// ObsInBox reports whether every support point of o lies inside b.
+// ObsInBox reports whether every support point of o lies inside b, by
+// comparing the support's bounding box with b.
 func ObsInBox(o Observation, b grid.Box) bool {
-	for _, s := range o.Support() {
-		if !b.Contains(s.X, s.Y) {
-			return false
-		}
-	}
-	return true
+	return b.Covers(o.SupportBox())
 }
 
 // Perturbed returns the perturbed observation yˢ_k = y + ε, ε ~ N(0, R_ii)
@@ -161,8 +158,7 @@ func ObsInBox(o Observation, b grid.Box) bool {
 // the matrix Yˢ ∈ ℝ^{m×N} of Eq. (3) one entry at a time so that any
 // process may reproduce exactly the entries it needs.
 func Perturbed(o Observation, member int, seed uint64) float64 {
-	s := linalg.KeyedStream(seed, o.perturbKeys(member)...)
-	return o.Value + s.Norm()*sqrt(o.Variance)
+	return o.Value + draw(o.perturbSeed(seed), member)*sqrt(o.Variance)
 }
 
 // CenteredPerturbations returns the N perturbed values yˢ_k for one
@@ -173,18 +169,25 @@ func Perturbed(o Observation, member int, seed uint64) float64 {
 // can regenerate all N raw perturbations locally.
 func CenteredPerturbations(o Observation, members int, seed uint64) []float64 {
 	out := make([]float64, members)
+	CenteredPerturbationsTo(out, o, seed)
+	return out
+}
+
+// CenteredPerturbationsTo writes CenteredPerturbations(o, len(dst), seed)
+// into dst without allocating.
+func CenteredPerturbationsTo(dst []float64, o Observation, seed uint64) {
+	base := o.perturbSeed(seed)
+	sd := sqrt(o.Variance)
 	var mean float64
-	for k := 0; k < members; k++ {
-		s := linalg.KeyedStream(seed, o.perturbKeys(k)...)
-		e := s.Norm() * sqrt(o.Variance)
-		out[k] = e
+	for k := range dst {
+		e := draw(base, k) * sd
+		dst[k] = e
 		mean += e
 	}
-	mean /= float64(members)
-	for k := range out {
-		out[k] = o.Value + (out[k] - mean)
+	mean /= float64(len(dst))
+	for k := range dst {
+		dst[k] = o.Value + (dst[k] - mean)
 	}
-	return out
 }
 
 // PerturbedMatrix materialises Yˢ for a list of observations and N members:
@@ -212,7 +215,8 @@ func ApplyH(obs []Observation, b grid.Box, state []float64) ([]float64, error) {
 			return nil, fmt.Errorf("obs: observation at (%d,%d)+(%g,%g) has support outside box %v", o.X, o.Y, o.OffsetX, o.OffsetY, b)
 		}
 		var v float64
-		for _, s := range o.Support() {
+		sup, n := o.Support()
+		for _, s := range sup[:n] {
 			v += s.W * state[(s.Y-b.Y0)*b.Width()+(s.X-b.X0)]
 		}
 		out[i] = v
